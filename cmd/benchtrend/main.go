@@ -63,8 +63,8 @@ type lintBench struct {
 }
 
 // scaleBench times the 1024-node scale-half run (EXPERIMENTS.md's
-// wall-clock table) on the serial exact engine and on the windowed
-// parallel engine at the same partition. The two engines execute
+// wall-clock table) on the serial engine and on the windowed parallel
+// engine over Shards shards. The two engines execute
 // legally different schedules — the windowed run lands cross-node
 // interactions one lookahead later — so both cycle counts are
 // recorded; the speedup is the wall-clock ratio, which depends on
@@ -251,8 +251,7 @@ func main() {
 
 // measureScale times the 1024-node scale-half run — jacobi at scale
 // 0.008, the EXPERIMENTS.md wall-clock table's row — on the serial
-// exact engine (8 shards, one goroutine) and on the windowed parallel
-// engine (8 shards, 8 workers).
+// engine and on the windowed parallel engine (8 shards, 8 workers).
 func measureScale() *scaleBench {
 	const (
 		nodes      = 1024
@@ -268,8 +267,9 @@ func measureScale() *scaleBench {
 	}
 	run := func(par int) (int64, float64) {
 		cfg := system.Default(nodes, system.NetFSOI)
-		cfg.Shards = shards
-		cfg.ParWorkers = par
+		if par > 0 {
+			cfg.Shards, cfg.ParWorkers = shards, par
+		}
 		s := system.New(cfg)
 		start := time.Now()
 		m := s.Run(app)

@@ -72,7 +72,6 @@ func main() {
 	trials := flag.Int("trials", 30000, "Monte Carlo trials")
 	apps := flag.String("apps", "", "comma-separated app subset (default: all sixteen)")
 	jobs := flag.Int("j", 1, "concurrent simulations (0 = one per CPU); output is identical at any setting")
-	shards := flag.Int("shards", 0, "shard count for the sharded-engine grids (frontier 256/1024 nodes; 0 = 8); output is identical at any setting")
 	tracePath := flag.String("trace", "", "record every run's packet-lifecycle events into this JSONL file (read with cmd/fsoitrace)")
 	profilePath := flag.String("profile", "", "write a host CPU profile (pprof) of the whole invocation")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -85,7 +84,7 @@ func main() {
 		return
 	}
 
-	o := exp.Options{Scale: *scale, Seed: *seed, Trials: *trials, Workers: parallel.Workers(*jobs), Shards: *shards}
+	o := exp.Options{Scale: *scale, Seed: *seed, Trials: *trials, Workers: parallel.Workers(*jobs)}
 	if *apps != "" {
 		o.Apps = strings.Split(*apps, ",")
 	}

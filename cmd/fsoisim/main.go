@@ -25,7 +25,7 @@ import (
 func main() {
 	appName := flag.String("app", "jacobi", "application (see -listapps)")
 	netName := flag.String("net", "fsoi", "interconnect: fsoi | mesh | L0 | Lr1 | Lr2 | corona | any optnet topology (matrix, snake, ...)")
-	nodes := flag.Int("nodes", 16, "node count (16 or 64)")
+	nodes := flag.Int("nodes", 16, "node count, a perfect square (16, 64, 256, 1024)")
 	scale := flag.Float64("scale", 0.5, "workload scale factor")
 	seed := flag.Uint64("seed", 1, "random seed")
 	memGBps := flag.Float64("membw", 8.8, "total memory bandwidth, GB/s")
@@ -35,8 +35,8 @@ func main() {
 	chromeTrace := flag.String("chrometrace", "", "record packet-lifecycle events and write a Chrome trace-event file (chrome://tracing, Perfetto)")
 	profilePath := flag.String("profile", "", "write a host CPU profile (pprof) of the run and print engine counters")
 	detect := flag.Bool("detect", false, "run the windowed contention detector and print its report (implies observation)")
-	shards := flag.Int("shards", 0, "run on the exact sharded engine with N shards (output is byte-identical to serial; 0/1 = serial engine)")
-	par := flag.Int("par", 0, "run on the windowed parallel engine with N workers (FSOI only; byte-identical across worker/shard counts; combine with -shards to set the partition, default N shards)")
+	shards := flag.Int("shards", 0, "windowed-engine partition: N shards (requires -par; default one shard per worker)")
+	par := flag.Int("par", 0, "run on the windowed parallel engine with N workers (FSOI only; byte-identical across worker/shard counts)")
 	canonicalPath := flag.String("canonical", "", "write the canonical metric listing to a file (- for stdout), the byte-comparison surface of the equivalence CI")
 	configPath := flag.String("config", "", "JSON spec overriding the flags (see internal/config)")
 	listApps := flag.Bool("listapps", false, "list applications and exit")
@@ -105,6 +105,10 @@ func main() {
 	}
 	if *par > 0 {
 		cfg.ParWorkers = *par
+	}
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "fsoisim:", err)
+		os.Exit(2)
 	}
 	s := system.New(cfg)
 	if *profilePath != "" {
@@ -182,10 +186,6 @@ func main() {
 		fmt.Printf("\nengine              %d events fired, event-queue high-water mark %d\n",
 			e.EventsFired(), e.MaxQueueDepth())
 		fmt.Printf("cpu profile         written to %s\n", *profilePath)
-	}
-	if se := s.ShardEngine(); se != nil {
-		fmt.Printf("shards              %d shards, %d cross-shard handoffs (%d under the %d-cycle lookahead)\n",
-			se.Shards(), se.Handoffs(), se.UnderLookahead(), se.Lookahead())
 	}
 	if w := s.WindowEngine(); w != nil {
 		fmt.Printf("parallel            %d shards x %d workers, %d windows of %d cycles, %d cross-shard handoffs (%d tight)\n",

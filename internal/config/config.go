@@ -23,7 +23,7 @@ import (
 // fields inherit the paper defaults for the chosen node count and
 // network, so a spec needs to mention only what it changes.
 type Spec struct {
-	Nodes   int     `json:"nodes"`           // 16 or 64
+	Nodes   int     `json:"nodes"`           // a perfect square: 16, 64, 256, 1024
 	Network string  `json:"network"`         // fsoi | mesh | L0 | Lr1 | Lr2 | corona | any optnet topology
 	App     string  `json:"app,omitempty"`   // workload name
 	Scale   float64 `json:"scale,omitempty"` // workload scale factor
@@ -64,8 +64,9 @@ type Spec struct {
 	// Diagnostics.
 	TracePackets int `json:"trace_packets,omitempty"`
 
-	// Shards > 1 selects the exact sharded engine (internal/sim/shard);
-	// results are byte-identical to the serial engine at any value.
+	// Shards sets the windowed engine's node partition (default: one
+	// shard per worker). It requires ParWorkers; Build rejects a shard
+	// count without it.
 	Shards int `json:"shards,omitempty"`
 
 	// ParWorkers > 0 selects the windowed parallel engine (FSOI only):
@@ -303,6 +304,9 @@ func (s Spec) Build() (system.Config, error) {
 		cfg.TracePackets = s.TracePackets
 	}
 	if err := cfg.FSOI.Validate(); kind == system.NetFSOI && err != nil {
+		return system.Config{}, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return system.Config{}, err
 	}
 	return cfg, nil

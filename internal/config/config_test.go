@@ -91,6 +91,27 @@ func TestBuildValidatesFSOI(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsShardsWithoutParWorkers: "shards" partitions the
+// windowed engine, so a spec naming shards without par_workers is an
+// error, not a silent serial run; with par_workers it builds.
+func TestBuildRejectsShardsWithoutParWorkers(t *testing.T) {
+	spec, err := Parse([]byte(`{"nodes": 16, "network": "fsoi", "shards": 4}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := spec.Build(); err == nil {
+		t.Fatal("shards without par_workers must error")
+	}
+	spec.ParWorkers = 2
+	cfg, err := spec.Build()
+	if err != nil {
+		t.Fatalf("shards with par_workers rejected: %v", err)
+	}
+	if cfg.Shards != 4 || cfg.ParWorkers != 2 {
+		t.Fatalf("engine selection not carried over: shards %d, par_workers %d", cfg.Shards, cfg.ParWorkers)
+	}
+}
+
 func TestLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "spec.json")

@@ -199,8 +199,8 @@ func (s *Stats) RetransmissionRate(l Lane) float64 {
 // and latency accumulators, and a per-node slice of the shared
 // confirmation-lane bookkeeping. Code executing for node i — its tick,
 // or an event scheduled onto it — touches only node i's slices, so the
-// network runs unchanged on the serial engine, the exact sharded engine,
-// and the windowed parallel engine.
+// network runs unchanged on the serial engine and the windowed parallel
+// engine.
 type Network struct {
 	cfg       Config
 	engine    sim.Scheduler   // setup and end-of-run reporting only
@@ -279,7 +279,7 @@ func (n *Network) LatencyStats() *noc.LatencyStats {
 }
 
 // Lookahead declares FSOI's conservative cross-shard window for the
-// sharded engine: the fixed confirmation delay (+2 cycles in the
+// windowed engine: the fixed confirmation delay (+2 cycles in the
 // paper). Every cross-node event the network schedules — a slot arrival
 // (one slot length, ≥ ConfirmDelay at paper widths), a failure handback
 // or confirmation (exactly ConfirmDelay) — lands at least this far

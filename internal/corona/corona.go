@@ -234,9 +234,9 @@ func (n *Network) arm(ch *channel) {
 	ch.armed = true
 	// A channel is the shared arbitration medium itself, not any node's
 	// state: it has no owning shard for ScheduleAt to route to. The
-	// exact engine serializes every event by global (cycle, seq), so
-	// arm/grant ordering is identical at any shard count.
-	n.engine.At(grant, func(at sim.Cycle) { //lint:allow shardsafety channel arbitration state is the shared medium, serialized by the exact engine's global order
+	// crossbar runs only on the serial engine, which orders every event
+	// by global (cycle, seq).
+	n.engine.At(grant, func(at sim.Cycle) { //lint:allow shardsafety channel arbitration state is the shared medium, serialized by the serial engine's global order
 		ch.armed = false
 		n.grant(ch, at)
 	})

@@ -37,11 +37,6 @@ type Options struct {
 	// its job list in a fixed order, every job owns its own engine and
 	// RNG tree, and results merge by job index, never completion order.
 	Workers int
-	// Shards selects the shard count for grids that run on the exact
-	// sharded engine (the frontier's 256/1024-node half); 0 means 8.
-	// Results are byte-identical at every value — the knob exists so
-	// wall-clock can be measured against shard count.
-	Shards int
 	// Trace, when non-nil, turns on the packet-lifecycle observability
 	// layer for every simulated run and streams each run's recording to
 	// the sink. Sinks are fed strictly in job order after a grid

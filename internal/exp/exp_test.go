@@ -197,10 +197,10 @@ func key2(prefix, topo string, nodes int) string {
 	return fmt.Sprintf("%s_%s_%d", prefix, topo, nodes)
 }
 
-// TestFrontierScaleHalf checks the sharded-engine half of the sweep:
-// at scale 0.05 and up, the frontier simulates the two §7.1 contenders
-// at 256 nodes on the exact sharded engine and reports their cycle
-// counts. Skipped under -short (the -race job) for time.
+// TestFrontierScaleHalf checks the scale half of the sweep: at scale
+// 0.05 and up, the frontier simulates the two §7.1 contenders at 256
+// nodes and reports their cycle counts. Skipped under -short (the
+// -race job) for time.
 func TestFrontierScaleHalf(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node frontier half runs only without -short")
@@ -210,10 +210,10 @@ func TestFrontierScaleHalf(t *testing.T) {
 	res := Frontier(o)
 	for _, topo := range []string{"fsoi", "corona"} {
 		if res.Values[key2("cycles", topo, 256)] <= 0 {
-			t.Fatalf("missing 256-node sharded cycles for %s", topo)
+			t.Fatalf("missing 256-node cycles for %s", topo)
 		}
 	}
-	if !strings.Contains(res.Text, "Scale frontier on the sharded engine") {
+	if !strings.Contains(res.Text, "Scale frontier at 256+ nodes") {
 		t.Fatal("scale-half table missing from frontier text")
 	}
 }

@@ -22,8 +22,8 @@ import (
 //     the workload suite over every registered topology through the
 //     system layer to pin latency and run time to the same names;
 //   - a scale half at 256 (and, at full scale, 1024) nodes on the
-//     exact sharded engine (internal/sim/shard), simulating the two
-//     §7.1 contenders past the radix the serial engine could reach.
+//     serial engine, simulating the two §7.1 contenders past the
+//     paper's radix.
 //
 // The 64-node FSOI-vs-token-crossbar run-time ratio reproduces the
 // paper's §7.1 Corona comparison (~1.06x) from inside the sweep.
@@ -91,20 +91,14 @@ func Frontier(o Options) Result {
 	b.WriteString("\nSimulated latency and run time\n")
 	b.WriteString(st.String())
 
-	// Scale half: past 64 nodes the serial engine is the bottleneck, so
-	// these points run on the exact sharded engine — byte-identical to
-	// serial at any shard count, which is what lets them share the
-	// worker-equivalence contract of the rest of the grid. The workload
-	// is scaled down with the node count so the sweep prices wall-clock,
-	// not patience; 1024 nodes ride along only at full scale.
+	// Scale half: the two §7.1 contenders past the paper's radix, on the
+	// serial engine like the rest of the grid. The workload is scaled
+	// down with the node count so the sweep prices wall-clock, not
+	// patience; 1024 nodes ride along only at full scale.
 	if o.Scale >= 0.05 {
 		bigNodes := []int{256}
 		if o.Scale >= 0.2 {
 			bigNodes = append(bigNodes, 1024)
-		}
-		shards := o.Shards
-		if shards == 0 {
-			shards = 8
 		}
 		bigApp, _ := workload.ByName("jacobi", o.Scale*0.04)
 		bigNames := []string{"fsoi", "corona"}
@@ -112,27 +106,24 @@ func Frontier(o Options) Result {
 		for _, nodes := range bigNodes {
 			for _, name := range bigNames {
 				bigJobs = append(bigJobs, simJob{app: bigApp, kind: system.NetOptical, nodes: nodes, tag: name,
-					mutate: func(c *system.Config) {
-						c.Optical = name
-						c.Shards = shards
-					}})
+					mutate: func(c *system.Config) { c.Optical = name }})
 			}
 		}
 		bms := runGrid(o, bigJobs)
-		bt := stats.NewTable("topology", "nodes", "shards", "cycles", "mean pkt latency", "delivered")
+		bt := stats.NewTable("topology", "nodes", "cycles", "mean pkt latency", "delivered")
 		idx := 0
 		for _, nodes := range bigNodes {
 			for _, name := range bigNames {
 				m := bms[idx]
 				idx++
-				bt.AddRow(name, fmt.Sprint(nodes), fmt.Sprint(shards),
+				bt.AddRow(name, fmt.Sprint(nodes),
 					fmt.Sprint(m.Cycles),
 					fmt.Sprintf("%.2f", m.Latency.MeanTotal()),
 					fmt.Sprint(m.Latency.Delivered))
 				vals[fmt.Sprintf("cycles_%s_%d", name, nodes)] = float64(m.Cycles)
 			}
 		}
-		fmt.Fprintf(&b, "\nScale frontier on the sharded engine (%d shards, jacobi @ %.3f)\n", shards, o.Scale*0.04)
+		fmt.Fprintf(&b, "\nScale frontier at 256+ nodes (jacobi @ %.3f)\n", o.Scale*0.04)
 		b.WriteString(bt.String())
 	}
 

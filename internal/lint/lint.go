@@ -95,12 +95,12 @@ func isSimPackage(rel string) bool {
 // result aggregation just as surely as it would inside internal/.
 var concurrencyAllowlist = []string{
 	"internal/parallel",
-	// The sharded event engine is the one simulation package allowed to
-	// touch host concurrency: its epoch runner fans share-nothing shards
-	// out over the internal/parallel pool, and its exact engine must
-	// stay free to adopt primitives as the epoch path grows. Both are
-	// covered by shard-count-invariance tests, which is the determinism
-	// argument the ban exists to force everywhere else.
+	// The windowed engine is the one simulation package allowed to touch
+	// host concurrency: it runs each window's shards on the
+	// internal/parallel pool and commits cross-shard handoffs at the
+	// barrier. Shard- and worker-count-invariance tests cover it, which
+	// is the determinism argument the ban exists to force everywhere
+	// else.
 	"internal/sim/shard",
 }
 

@@ -7,13 +7,13 @@ import (
 	"strings"
 )
 
-// Shardsafety enforces the sharded engine's event-routing contract
+// Shardsafety enforces the windowed engine's event-routing contract
 // (internal/sim/shard). A network component that schedules an event
 // touching *another node's* state directly on the engine — via
 // Engine.At/After or a package-local wrapper around them — bypasses
 // noc.ScheduleAt, the one router that lands a callback on the shard
 // owning the involved node. On the serial engine both paths are the
-// same queue, so such bugs are invisible until a sharded run reorders
+// same queue, so such bugs are invisible until a windowed run reorders
 // the event relative to the owner shard's work.
 //
 // The analyzer flags three hazard shapes inside sim packages:

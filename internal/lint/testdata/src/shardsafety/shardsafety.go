@@ -113,7 +113,7 @@ func (n *Net) guardedOK(p *noc.Packet, ns *state) {
 // allowedHazard is suppressed with a justification, like the corona
 // arbiter whose channel state is the shared medium itself.
 func (n *Net) allowedHazard(ch *state) {
-	n.engine.At(7, func(sim.Cycle) { //lint:allow shardsafety shared arbitration state is serialized by the exact engine's global order
+	n.engine.At(7, func(sim.Cycle) { //lint:allow shardsafety shared arbitration state is serialized by the serial engine's global order
 		ch.armed = false
 	})
 }

@@ -196,10 +196,9 @@ func (r *router) forward(in *vc, p, v int, f flit, outPort int, now sim.Cycle) {
 		r.outputs[outPort].vcHeld[dstVC] = false
 		in.outPort, in.outVC = -1, -1
 	}
-	// The downstream router may live on another shard: hand the flit to
-	// the engine through the shard-aware router so it lands on the
-	// owner's queue. The link traversal is exactly the Lookahead()
-	// window, so the hand-off always clears the epoch horizon.
+	// The downstream router belongs to another node: hand the flit over
+	// through noc.ScheduleAt so it lands in the owner's context. The link
+	// traversal is exactly the Lookahead() window.
 	arrival := now + sim.Cycle(r.cfg.LinkCycles)
 	noc.ScheduleAt(r.net.engine, next.id, arrival, func(at sim.Cycle) {
 		next.acceptFlit(dstPort, dstVC, f, at)

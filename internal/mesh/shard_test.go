@@ -5,8 +5,22 @@ import (
 
 	"fsoi/internal/noc"
 	"fsoi/internal/sim"
-	"fsoi/internal/sim/shard"
 )
+
+// handoffRecorder is a serial engine that also implements sim.Sharder
+// with one shard per node, counting every handoff noc.ScheduleAt routes
+// to it and scheduling it on the same queue.
+type handoffRecorder struct {
+	*sim.Engine
+	handoffs int
+}
+
+func (h *handoffRecorder) NodeShard(node int) int { return node }
+
+func (h *handoffRecorder) Handoff(_ int, at sim.Cycle, fn func(now sim.Cycle)) {
+	h.handoffs++
+	h.At(at, fn)
+}
 
 // meshTraffic drives an all-to-neighbor burst through a 4x4 mesh on the
 // given scheduler and returns the delivered packets in delivery order.
@@ -34,10 +48,11 @@ func meshTraffic(t *testing.T, engine sim.Scheduler, run func(sim.Cycle) sim.Cyc
 // TestForwardRoutesThroughOwnerShard is the regression test for the
 // forward() hazard fsoilint's shardsafety pass flagged: flits crossing
 // to a downstream router used to be scheduled with a bare engine.At
-// wrapper, which never handed them to the shard owning the receiving
-// router. Forward now routes through noc.ScheduleAt, so a sharded run
-// must (a) record cross-shard handoffs and (b) stay byte-identical to
-// the serial engine in delivery order and per-packet latency.
+// wrapper, which never handed them to the node owning the receiving
+// router. Forward now routes through noc.ScheduleAt, so on a scheduler
+// that shards by node the flits must arrive as recorded handoffs, and
+// the run must stay identical to the plain serial engine in delivery
+// order and per-packet latency.
 func TestForwardRoutesThroughOwnerShard(t *testing.T) {
 	serialEngine := sim.NewEngine()
 	serial := meshTraffic(t, serialEngine, serialEngine.Run, serialEngine.Register)
@@ -45,22 +60,19 @@ func TestForwardRoutesThroughOwnerShard(t *testing.T) {
 		t.Fatalf("serial run delivered %d of 32", len(serial))
 	}
 
-	for _, shards := range []int{2, 4} {
-		e := shard.New(shards)
-		e.AssignNodes(16)
-		sharded := meshTraffic(t, e, e.Run, e.Register)
-		if e.Handoffs() == 0 {
-			t.Fatalf("%d shards: no handoffs recorded — forward() is bypassing noc.ScheduleAt again", shards)
-		}
-		if len(sharded) != len(serial) {
-			t.Fatalf("%d shards: delivered %d packets, serial delivered %d", shards, len(sharded), len(serial))
-		}
-		for i := range serial {
-			s, p := serial[i], sharded[i]
-			if s.Src != p.Src || s.Dst != p.Dst || s.TotalLatency() != p.TotalLatency() {
-				t.Fatalf("%d shards: packet %d diverged: serial %d->%d lat %d, sharded %d->%d lat %d",
-					shards, i, s.Src, s.Dst, s.TotalLatency(), p.Src, p.Dst, p.TotalLatency())
-			}
+	rec := &handoffRecorder{Engine: sim.NewEngine()}
+	routed := meshTraffic(t, rec, rec.Run, rec.Register)
+	if rec.handoffs == 0 {
+		t.Fatal("no handoffs recorded — forward() is bypassing noc.ScheduleAt again")
+	}
+	if len(routed) != len(serial) {
+		t.Fatalf("delivered %d packets, serial delivered %d", len(routed), len(serial))
+	}
+	for i := range serial {
+		s, p := serial[i], routed[i]
+		if s.Src != p.Src || s.Dst != p.Dst || s.TotalLatency() != p.TotalLatency() {
+			t.Fatalf("packet %d diverged: serial %d->%d lat %d, routed %d->%d lat %d",
+				i, s.Src, s.Dst, s.TotalLatency(), p.Src, p.Dst, p.TotalLatency())
 		}
 	}
 }

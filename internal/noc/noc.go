@@ -112,21 +112,22 @@ type Network interface {
 
 // Lookaheader is optionally implemented by networks that can declare a
 // conservative lookahead window: a lower bound, in cycles, on how far
-// in the future any cross-node interaction lands. The sharded engine
-// (internal/sim/shard) sizes its epochs from this — FSOI declares its
-// fixed +2-cycle confirmation delay, the mesh its 1-cycle link
-// traversal. A network that cannot bound its interactions simply does
-// not implement the interface and runs serial-only.
+// in the future any cross-node interaction lands. The windowed engine
+// (internal/sim/shard) sizes its windows from this — FSOI declares the
+// minimum of its +2-cycle confirmation delay and its slot lengths; the
+// system layer also uses it as the cross-node handback delay on the
+// serial engine. A network that cannot bound its interactions simply
+// does not implement the interface.
 type Lookaheader interface {
 	Lookahead() sim.Cycle
 }
 
 // ScheduleAt schedules fn at cycle at on the shard that owns node when
-// the engine shards, falling back to a plain At on the serial engine.
-// Networks route a packet's resolution, delivery, and confirmation
-// events through it so each fires on the involved node's home shard;
-// on the serial engine the two paths are the same queue, so behaviour
-// is identical by construction.
+// the scheduler shards (a windowed-engine node proxy), falling back to
+// a plain At on the serial engine. Networks route a packet's
+// resolution, delivery, and confirmation events through it so each
+// fires in the involved node's context; on the serial engine the two
+// paths are the same queue, so behaviour is identical by construction.
 func ScheduleAt(engine sim.Scheduler, node int, at sim.Cycle, fn func(now sim.Cycle)) {
 	if s, ok := engine.(sim.Sharder); ok {
 		s.Handoff(s.NodeShard(node), at, fn)

@@ -13,8 +13,7 @@ import (
 // TestRegistryConformance runs the shared noc.Network conformance
 // harness over every registered optical topology. The Ordered flag
 // comes from the registry itself, so a new member declaring in-order
-// delivery is held to it automatically. Every topology must also
-// reproduce its transcript exactly on the sharded engine.
+// delivery is held to it automatically.
 func TestRegistryConformance(t *testing.T) {
 	for _, name := range optnet.Names() {
 		topo, _ := optnet.Get(name)
@@ -26,7 +25,6 @@ func TestRegistryConformance(t *testing.T) {
 			Nodes:   16,
 			Ordered: topo.Ordered,
 			Seed:    42,
-			Shards:  []int{2, 4},
 		}.Run(t)
 	}
 }
@@ -42,18 +40,17 @@ func TestMeshConformance(t *testing.T) {
 		Build: func(engine sim.Scheduler, rng *sim.RNG) noc.Network {
 			return mesh.New(mesh.PaperMesh(4), engine)
 		},
-		Nodes:  16,
-		Seed:   42,
-		Shards: []int{2, 4},
+		Nodes: 16,
+		Seed:  42,
 	}.Run(t)
 }
 
-// TestSharded256Conformance runs the paper's FSOI design and the
-// electrical mesh at 256 nodes on the exact sharded engine: delivery
-// must be exactly-once and the transcript replay-identical across
-// shard counts — the contract that makes 256/1024-node frontier runs
+// TestConformance256 holds the paper's FSOI design and the electrical
+// mesh to the transport contract at 256 nodes on the serial engine:
+// exactly-once delivery, latency accounting, and same-seed replay —
+// the contract that makes the frontier's 256/1024-node runs
 // trustworthy.
-func TestSharded256Conformance(t *testing.T) {
+func TestConformance256(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-node conformance runs only without -short")
 	}
@@ -65,7 +62,6 @@ func TestSharded256Conformance(t *testing.T) {
 		},
 		Nodes:       256,
 		Seed:        42,
-		Shards:      []int{2, 4, 8},
 		DrainCycles: 30000,
 	}.Run(t)
 	noctest.Harness{
@@ -73,9 +69,8 @@ func TestSharded256Conformance(t *testing.T) {
 		Build: func(engine sim.Scheduler, rng *sim.RNG) noc.Network {
 			return mesh.New(mesh.PaperMesh(16), engine)
 		},
-		Nodes:  256,
-		Seed:   42,
-		Shards: []int{2, 4, 8},
+		Nodes: 256,
+		Seed:  42,
 		// 256 routers tick every cycle, so the drain bound is the whole
 		// cost of the run; injections stop by cycle 400 and the longest
 		// 16x16 dimension-order route is well under 1k cycles.

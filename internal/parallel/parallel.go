@@ -134,10 +134,10 @@ func Map[T any](jobs, workers int, fn func(job int) T) []T {
 }
 
 // Pool is a persistent worker pool for callers that fan out the same
-// shape of work many times in a row — the sharded simulation engine's
-// epoch barrier, which parallelizes shards thousands of times per run.
+// shape of work many times in a row — the windowed simulation engine's
+// window barrier, which parallelizes shards thousands of times per run.
 // Do spawns and joins its workers per call, which is fine across
-// experiment jobs but far too heavy inside a simulation's epoch loop;
+// experiment jobs but far too heavy inside a simulation's window loop;
 // Pool keeps its goroutines parked on channels between Run calls.
 //
 // The determinism contract is Do's: jobs are independent, results merge

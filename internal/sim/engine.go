@@ -93,9 +93,9 @@ func (q *eventQueue) pop() event {
 
 // Scheduler is the scheduling surface simulation components program
 // against: the current cycle, timed callbacks, per-cycle tickers, and
-// the stop request. Both the serial Engine and the sharded engine
-// (internal/sim/shard) implement it, so every component runs unchanged
-// under either.
+// the stop request. The serial Engine and the windowed engine's
+// per-node proxies (internal/sim/shard) implement it, so every
+// component runs unchanged under either.
 type Scheduler interface {
 	Now() Cycle
 	At(at Cycle, fn func(now Cycle))
@@ -121,11 +121,10 @@ type Driver interface {
 // per-node scheduling surface. The parallel windowed engine
 // (internal/sim/shard.Windows) returns a proxy whose At/After land on
 // the node's home shard and whose Handoff buffers cross-shard work for
-// the window barrier; the serial Engine and the exact sharded engine do
-// not implement it — on those, components keep using the engine
-// directly and ForNode is never asked for. Model code that wants to run
-// unchanged on every engine resolves its per-node scheduler once at
-// construction:
+// the window barrier; the serial Engine does not implement it — there,
+// components keep using the engine directly and ForNode is never asked
+// for. Model code that wants to run unchanged on both engines resolves
+// its per-node scheduler once at construction:
 //
 //	sched := sim.SchedulerFor(engine, node)
 //
@@ -147,13 +146,14 @@ func SchedulerFor(engine Scheduler, node int) Scheduler {
 	return engine
 }
 
-// Sharder is optionally implemented by engines that partition
-// components into node-group shards. Networks use it to hand a packet's
-// delivery (or confirmation) event to the destination node's shard;
-// on the serial engine the assertion fails and callers fall back to a
-// plain At. The contract: a cross-shard handoff must land at least the
-// engine's declared lookahead in the future, so that shards can advance
-// through a lookahead-sized epoch without observing each other.
+// Sharder is optionally implemented by scheduling surfaces that
+// partition components into node-group shards — the windowed engine's
+// node proxies. Networks use it to hand a packet's delivery (or
+// confirmation) event to the destination node's shard; on the serial
+// engine the assertion fails and callers fall back to a plain At. The
+// contract: a cross-shard handoff must land at least the engine's
+// declared lookahead in the future, so that shards can advance through
+// a lookahead-wide window without observing each other.
 type Sharder interface {
 	// NodeShard maps a node index to its shard.
 	NodeShard(node int) int

@@ -1,26 +1,14 @@
-package shard
-
-import (
-	"fmt"
-
-	"fsoi/internal/parallel"
-	"fsoi/internal/sim"
-)
-
-// This file implements the third engine in the package: Windows, the
-// conservative parallel runner for full CMP simulations. Where the
-// exact Engine proves the sharded schedule preserves the serial order
-// on one goroutine, Windows actually runs the shards concurrently: all
-// shards advance through lookahead-wide windows [T, T+LA) on a
-// persistent parallel.Pool, draining their own event queues and tick
-// sweeps locally, and cross-shard handoffs are buffered per (src, dst)
-// shard pair and committed into the destination heaps at the window
-// barrier.
+// Package shard implements Windows, the conservative parallel engine
+// for full CMP simulations. Nodes are partitioned into K shards, each
+// with its own event queue and tick sweep; all shards advance through
+// lookahead-wide windows [T, T+LA) on a persistent parallel.Pool,
+// draining their own queues locally, and cross-shard handoffs are
+// buffered per (src, dst) shard pair and committed into the
+// destination heaps at the window barrier.
 //
-// The determinism contract differs from the exact engine's. Exact mode
-// is byte-identical to the *serial* engine; Windows is byte-identical
-// to *itself* at every shard count and every worker count (the epoch
-// contract, now for the real models). Worker-count invariance is
+// Windows is byte-identical to *itself* at every shard count and every
+// worker count; it is a legally different schedule from the serial
+// sim.Engine, which remains the reference. Worker-count invariance is
 // structural: within a window shards touch only their own state, their
 // own out-buffers, and their own nodes' sequence counters, and the
 // commit order is invisible because the heap key is a total order.
@@ -33,6 +21,14 @@ import (
 // cross-node interaction scheduled through a NodeProxy handoff at
 // least one lookahead ahead; a cross-shard handoff under the window
 // barrier panics rather than silently skewing results.
+package shard
+
+import (
+	"fmt"
+
+	"fsoi/internal/parallel"
+	"fsoi/internal/sim"
+)
 
 // wEvent is one scheduled callback. The (at, node, seq) triple is the
 // canonical key: node is the *scheduling node's index* and seq counts
@@ -227,7 +223,7 @@ func (w *Windows) Shards() int { return len(w.shards) }
 func (w *Windows) Workers() int { return w.workers }
 
 // AssignNodes maps nodes 0..nodes-1 onto shards in contiguous balanced
-// blocks (node i on shard i*K/nodes, like the exact engine) and builds
+// blocks (node i on shard i*K/nodes) and builds
 // the per-node proxies and sequence counters.
 func (w *Windows) AssignNodes(nodes int) {
 	w.nodeShard = make([]int, nodes)
@@ -241,7 +237,7 @@ func (w *Windows) AssignNodes(nodes int) {
 }
 
 // NodeShard reports the shard owning a node; out-of-range nodes map to
-// shard 0, mirroring the exact engine.
+// shard 0.
 func (w *Windows) NodeShard(node int) int {
 	if node < 0 || node >= len(w.nodeShard) {
 		return 0
@@ -261,8 +257,7 @@ func (w *Windows) ForNode(node int) sim.Scheduler {
 }
 
 // SetLookahead declares the window length: the conservative lookahead
-// every cross-shard handoff must honour. Unlike the exact engine —
-// where a short handoff merely bumps a meter — Windows *depends* on the
+// every cross-shard handoff must honour. Windows *depends* on the
 // window for correctness, so handoffs under it panic.
 func (w *Windows) SetLookahead(la sim.Cycle) { w.la = la }
 
@@ -424,8 +419,7 @@ func (w *Windows) Handoffs() uint64 {
 
 // TightHandoffs reports how many handoffs landed exactly on their
 // window barrier — zero slack. A high tight fraction means the
-// declared lookahead is the binding constraint on window length, the
-// windowed engine's analogue of the exact engine's UnderLookahead.
+// declared lookahead is the binding constraint on window length.
 func (w *Windows) TightHandoffs() uint64 {
 	n := uint64(0)
 	for _, s := range w.shards {

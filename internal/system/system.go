@@ -80,16 +80,10 @@ type Config struct {
 	Power     power.Params
 	Seed      uint64
 	MaxCycles sim.Cycle
-	// Shards, when > 1, runs the simulation on the exact sharded engine
-	// (internal/sim/shard): per-node-group event queues popped in the
-	// serial engine's global (cycle, seq) order, so metrics and traces
-	// stay byte-identical to Shards <= 1 at any shard count. Components
-	// register on their node's home shard and networks hand cross-node
-	// events to the owning shard inside the topology's declared
-	// lookahead discipline, which the engine meters.
-	//
-	// With ParWorkers > 0, Shards instead sets the windowed engine's
-	// shard count (defaulting to ParWorkers when left <= 1).
+	// Shards sets the windowed engine's node partition when ParWorkers
+	// > 0, defaulting to ParWorkers shards when left <= 1. It has no
+	// meaning on the serial engine: Shards > 1 without ParWorkers is
+	// rejected by Validate.
 	Shards int
 	// ParWorkers, when > 0, runs the simulation on the windowed parallel
 	// engine (internal/sim/shard.Windows): shards advance concurrently
@@ -177,6 +171,25 @@ func DefaultOptical(nodes int, topology string) Config {
 	return cfg
 }
 
+// Validate rejects engine selections the assembly cannot honour: a
+// shard count without the windowed engine to partition, and windowed
+// runs of a model that keeps cross-node state.
+func (c Config) Validate() error {
+	if c.Shards > 1 && c.ParWorkers <= 0 {
+		return fmt.Errorf("system: Shards %d needs ParWorkers > 0: shards partition the windowed engine; the serial engine has none", c.Shards)
+	}
+	if c.ParWorkers <= 0 {
+		return nil
+	}
+	if c.Net != NetFSOI && (c.Net != NetOptical || c.Optical != "fsoi") {
+		return fmt.Errorf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", c.Net)
+	}
+	if !c.FSOI.Opt.BooleanSubscription || c.ForceCoherentSync {
+		return fmt.Errorf("system: ParWorkers requires the subscription sync fabric; coherent ll/sc spinning shares lock tables across nodes")
+	}
+	return nil
+}
+
 // meshDim returns the mesh edge for a node count (must be square).
 func meshDim(nodes int) int {
 	for d := 1; d*d <= nodes; d++ {
@@ -247,12 +260,11 @@ func (m Metrics) Speedup(baseline Metrics) float64 {
 // Every piece of per-packet mutable state — the ordering tables, the
 // packet free-lists, the packet-ID counters, the observability sinks —
 // is indexed by the node whose execution context touches it, so the
-// assembly runs unchanged on the serial engine, the exact sharded
-// engine, and the windowed parallel engine.
+// assembly runs unchanged on the serial engine and the windowed
+// parallel engine.
 type System struct {
 	cfg      Config
 	engine   sim.Driver
-	shardEng *shard.Engine  // non-nil when cfg.Shards > 1 without ParWorkers
 	winEng   *shard.Windows // non-nil when cfg.ParWorkers > 0
 	la       sim.Cycle      // cross-node handback delay (the network's lookahead)
 	rng      *sim.RNG
@@ -406,6 +418,9 @@ func New(cfg Config) *System {
 			panic("system: at least one honest node is required")
 		}
 	}
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	s := &System{
 		cfg:         cfg,
 		rng:         sim.NewRNG(cfg.Seed),
@@ -420,14 +435,7 @@ func New(cfg Config) *System {
 		s.ordInFlight[i] = make(map[ordKey]bool)
 		s.ordQueue[i] = make(map[ordKey][]coherence.Msg)
 	}
-	switch {
-	case cfg.ParWorkers > 0:
-		if cfg.Net != NetFSOI {
-			panic(fmt.Sprintf("system: ParWorkers requires the FSOI network (got %v): only its model keeps every event in the touched node's context", cfg.Net))
-		}
-		if !cfg.FSOI.Opt.BooleanSubscription || cfg.ForceCoherentSync {
-			panic("system: ParWorkers requires the subscription sync fabric; coherent ll/sc spinning shares lock tables across nodes")
-		}
+	if cfg.ParWorkers > 0 {
 		k := cfg.Shards
 		if k < 2 {
 			k = cfg.ParWorkers
@@ -435,24 +443,11 @@ func New(cfg Config) *System {
 		s.winEng = shard.NewWindows(k, cfg.ParWorkers)
 		s.winEng.AssignNodes(cfg.Nodes)
 		s.engine = s.winEng
-	case cfg.Shards > 1:
-		s.shardEng = shard.New(cfg.Shards)
-		s.shardEng.AssignNodes(cfg.Nodes)
-		s.engine = s.shardEng
-	default:
+	} else {
 		s.engine = sim.NewEngine()
 	}
 	dim := meshDim(cfg.Nodes)
 	tr := transport{s}
-	// onShard brackets a node's component construction so tickers and
-	// initial events register on the node's home shard under the exact
-	// engine; the windowed engine routes through per-node proxies
-	// (s.sched) instead, and serially both are no-ops.
-	onShard := func(node int) {
-		if s.shardEng != nil {
-			s.shardEng.SetShard(s.shardEng.NodeShard(node))
-		}
-	}
 
 	switch cfg.Net {
 	case NetFSOI:
@@ -501,34 +496,22 @@ func New(cfg Config) *System {
 	if la, ok := s.net.(noc.Lookaheader); ok && la.Lookahead() > 1 {
 		s.la = la.Lookahead()
 	}
-	if s.shardEng != nil {
-		if la, ok := s.net.(noc.Lookaheader); ok {
-			s.shardEng.SetLookahead(la.Lookahead())
-		}
-	}
 	if s.winEng != nil {
 		s.winEng.SetLookahead(s.la)
 	}
 	if s.fsoi != nil {
 		// FSOI has no global tick sweep: each node's slice of the network
-		// ticks in that node's own shard context, in node order, so the
-		// sweep is the serial Tick loop with accurate shard accounting —
-		// required by the windowed engine (whose scheduling surface is
-		// per-node proxies) and kept on the serial and exact engines so
-		// all three run the same registration sequence.
+		// ticks in that node's own context, in node order, so the sweep
+		// is the serial Tick loop — required by the windowed engine
+		// (whose scheduling surface is per-node proxies) and kept on the
+		// serial engine so both run the same registration sequence.
 		for i := 0; i < cfg.Nodes; i++ {
-			onShard(i)
 			id := i
 			s.sched(i).Register(sim.TickFunc(func(now sim.Cycle) { s.fsoi.TickNode(id, now) }))
 		}
-		if s.shardEng != nil {
-			s.shardEng.SetShard(0)
-		}
 	} else {
-		// The electrical and crossbar networks tick globally; on the
-		// exact engine the tick runs on shard 0 and hands per-node events
-		// to their owning shards through noc.ScheduleAt. The declared
-		// lookahead sizes the engine's cross-shard window.
+		// The electrical and crossbar networks tick globally and run
+		// only on the serial engine.
 		s.engine.Register(sim.TickFunc(s.net.Tick))
 	}
 
@@ -537,7 +520,6 @@ func New(cfg Config) *System {
 	memNode := func(h int) int { return attach[h%cfg.Memory.Channels] }
 
 	for i := 0; i < cfg.Nodes; i++ {
-		onShard(i)
 		l1 := coherence.NewL1(i, cfg.L1, s.sched(i), s.rng.NewStream(fmt.Sprintf("l1-%d", i)), tr, home)
 		s.l1s = append(s.l1s, l1)
 		s.sched(i).Register(l1)
@@ -550,7 +532,6 @@ func New(cfg Config) *System {
 		if _, dup := s.mems[node]; dup {
 			continue
 		}
-		onShard(node)
 		ctl := memory.NewController(node, cfg.Memory, s.sched(node), func(m coherence.Msg) {
 			if !tr.Send(m) {
 				// Memory replies retry through the engine until the NIC
@@ -559,9 +540,6 @@ func New(cfg Config) *System {
 			}
 		})
 		s.mems[node] = ctl
-	}
-	if s.shardEng != nil {
-		s.shardEng.SetShard(0)
 	}
 
 	if cfg.TracePackets > 0 {
@@ -787,9 +765,6 @@ func (s *System) Run(app workload.App) Metrics {
 	s.sync.setBarrierTarget(0, honest)
 
 	for i := 0; i < s.cfg.Nodes; i++ {
-		if s.shardEng != nil {
-			s.shardEng.SetShard(s.shardEng.NodeShard(i))
-		}
 		var stream cpu.Stream
 		if sp, hostile := advBy[i]; hostile {
 			stream = workload.NewAdversaryStream(sp, app, s.cfg.Nodes, s.cfg.Seed, s.sched(i).Now)
@@ -799,9 +774,6 @@ func (s *System) Run(app workload.App) Metrics {
 		c := cpu.New(i, s.cfg.Core, s.sched(i), s.l1s[i], stream, s.sync, s.onCoreFinish)
 		s.cores = append(s.cores, c)
 		c.Start()
-	}
-	if s.shardEng != nil {
-		s.shardEng.SetShard(0)
 	}
 	s.engine.Run(s.cfg.MaxCycles)
 	if s.winEng != nil {
@@ -964,10 +936,6 @@ func (s *System) Engine() sim.Driver { return s.engine }
 // for its own scheduling (the finish-notice handbacks): the network's
 // declared lookahead, floor 1.
 func (s *System) Lookahead() sim.Cycle { return s.la }
-
-// ShardEngine exposes the exact sharded engine when Config.Shards > 1
-// selected it, for the handoff/lookahead meters; nil serially.
-func (s *System) ShardEngine() *shard.Engine { return s.shardEng }
 
 // WindowEngine exposes the windowed parallel engine when
 // Config.ParWorkers > 0 selected it, for the window/handoff/stall

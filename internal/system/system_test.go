@@ -198,3 +198,48 @@ func TestPacketCountsConsistent(t *testing.T) {
 		t.Fatal("a sharing workload must invalidate")
 	}
 }
+
+// TestSerial256Smoke is the scale smoke: a 256-node CMP assembles and
+// completes a short workload on the serial engine, which is also what
+// the frontier's 256/1024-node scale half runs on.
+func TestSerial256Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("256-node smoke runs only without -short")
+	}
+	app, ok := workload.ByName("jacobi", 0.002)
+	if !ok {
+		t.Fatal("unknown app jacobi")
+	}
+	cfg := Default(256, NetFSOI)
+	cfg.MaxCycles = 3_000_000
+	m := New(cfg).Run(app)
+	if !m.Finished {
+		t.Fatal("256-node run did not finish")
+	}
+	if m.Nodes != 256 || m.Latency.Delivered == 0 {
+		t.Fatalf("degenerate 256-node run: nodes=%d delivered=%d", m.Nodes, m.Latency.Delivered)
+	}
+}
+
+// TestShardsNeedParWorkers pins the engine-selection gate: a shard
+// count only partitions the windowed engine, so Shards > 1 without
+// ParWorkers is an error from Validate and a panic from New — never a
+// silent serial run.
+func TestShardsNeedParWorkers(t *testing.T) {
+	cfg := Default(16, NetFSOI)
+	cfg.Shards = 4
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Validate accepted Shards 4 without ParWorkers")
+	}
+	cfg.ParWorkers = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate rejected a windowed partition: %v", err)
+	}
+	cfg.ParWorkers = 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted Shards 4 without ParWorkers")
+		}
+	}()
+	New(cfg)
+}

@@ -2,6 +2,7 @@ package system
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"fsoi/internal/obs"
@@ -47,6 +48,19 @@ func windowedRun(t *testing.T, name string, nodes, shards, workers int, scale fl
 		t.Fatalf("trace export: %v", err)
 	}
 	return m.Canonical(), buf.String(), m
+}
+
+// diffLines reports the first line where two multiline strings diverge.
+func diffLines(t *testing.T, label, a, b string) {
+	t.Helper()
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	n := min(len(al), len(bl))
+	for i := 0; i < n; i++ {
+		if al[i] != bl[i] {
+			t.Fatalf("%s diverges at line %d:\n  want: %s\n  got:  %s", label, i+1, al[i], bl[i])
+		}
+	}
+	t.Fatalf("%s diverges in length: %d vs %d lines", label, len(al), len(bl))
 }
 
 // TestWindowedWorkerInvariance16 is the tentpole's determinism claim at
